@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzGenerate -fuzztime 10s ./internal/workload/
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz FuzzParsePolicySpec -fuzztime 10s ./internal/sched/
+	$(GO) test -run xxx -fuzz FuzzReport -fuzztime 10s ./cmd/jawsreport/
 
 ## bench-sched: the scheduling benches used to bound instrumentation
 ## overhead (compare against a pre-change baseline).

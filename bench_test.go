@@ -32,7 +32,7 @@ func BenchmarkFig8WorkloadGen(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig8(s)
-		frac = r.Hist.Fraction(1)
+		frac = r.Fraction(1)
 	}
 	b.ReportMetric(frac, "frac-1-30min")
 }

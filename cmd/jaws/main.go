@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		steps     = fs.Int("steps", 31, "stored time steps")
 		compute   = fs.Bool("compute", false, "evaluate interpolation kernels for real")
 		verbose   = fs.Bool("v", false, "print per-run adaptation history")
-		traceOut  = fs.String("trace-out", "", "write a JSONL decision trace to this file (read it with tracestat)")
+		traceOut  = fs.String("trace-out", "", "write a JSONL decision trace to this file (read it with jawsreport)")
 		metrics   = fs.Bool("metrics", false, "print the metrics registry in Prometheus text format after the run")
 		faultSpec = fs.String("fault-spec", "", "deterministic fault schedule, e.g. 'disk-transient:p=0.05;disk-slow:p=0.1,extra=50ms' (see internal/fault)")
 		faultSeed = fs.Int64("fault-seed", 1, "seed for the fault injector (same spec+seed replays identically)")

@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jaws/internal/obs"
 	"jaws/internal/server"
 	"jaws/internal/workload"
 )
@@ -196,14 +197,6 @@ func (t *tally) note(rec reqRecord, latency time.Duration, err error) {
 	}
 }
 
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
 // run is the testable body of the generator: flags in, exit code out.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("jawsload", flag.ContinueOnError)
@@ -355,12 +348,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "transport err   x %d\n", tl.transport)
 	}
 	if served > 0 {
+		at := func(q int) time.Duration {
+			return tl.latencies[obs.PercentileIndex(len(tl.latencies), q)].Round(time.Microsecond)
+		}
 		fmt.Fprintf(stdout, "latency         p50 %v p90 %v p95 %v p99 %v max %v\n",
-			percentile(tl.latencies, 0.50).Round(time.Microsecond),
-			percentile(tl.latencies, 0.90).Round(time.Microsecond),
-			percentile(tl.latencies, 0.95).Round(time.Microsecond),
-			percentile(tl.latencies, 0.99).Round(time.Microsecond),
-			tl.latencies[len(tl.latencies)-1].Round(time.Microsecond))
+			at(50), at(90), at(95), at(99), at(100))
 	}
 	fmt.Fprintf(stdout, "summary         %d served, %d shed, %d 5xx\n", served, shed, fivexx)
 

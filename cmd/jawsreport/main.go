@@ -4,6 +4,14 @@
 // per-phase attribution table, and the starvation tail — the worst-k
 // queries with their phase breakdowns.
 //
+// It also summarizes the trace's events: the mix by kind, the decisions
+// per scheduler (mean k, U_t, U_e), the cache hit ratio over virtual
+// time, the adaptive α trajectory, job-aware gating waits and the disk
+// read profile. These sections fold events into fixed-size state as they
+// stream by; spans, request spans and decision records are held in
+// memory for the percentile and wait-chain sections. A trace without
+// spans renders the event sections alone.
+//
 // Traces written by jawsd additionally carry one wall-clock request span
 // ("reqspan") per served HTTP request. jawsreport stitches each request
 // span to its engine span through the propagated request ID (the
@@ -27,7 +35,8 @@
 // exactly to the total), and the trace footer's drop counters are
 // surfaced so a truncated trace is never mistaken for a complete one.
 // A failed audit (conservation violations, a missing footer, or sink
-// drops) exits with status 2 so CI jobs catch corrupt traces.
+// drops) exits with status 2 so CI jobs catch corrupt traces; a file
+// whose event count disagrees with its footer only draws a WARNING.
 //
 // Usage:
 //
@@ -101,11 +110,10 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 		spans         []obs.Span
 		reqSpans      []obs.ReqSpan
 		decRecs       []obs.DecisionRecord
-		footer        *obs.TraceFooter
-		events        int64
 		violations    int
 		reqViolations int
 	)
+	agg := newAggregator()
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	line := 0
@@ -119,6 +127,7 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 		if err := json.Unmarshal(b, &ev); err != nil {
 			return fmt.Errorf("line %d: %w", line, err)
 		}
+		agg.add(&ev)
 		switch ev.Kind {
 		case obs.KindSpan:
 			if ev.Span == nil {
@@ -141,10 +150,6 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 				return fmt.Errorf("line %d: decision_record event without payload", line)
 			}
 			decRecs = append(decRecs, *ev.Flight)
-		case obs.KindFooter:
-			footer = ev.Footer
-		default:
-			events++
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -182,13 +187,70 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 		return nil
 	}
 
-	if len(spans) == 0 {
-		return fmt.Errorf("%s: no span events (was the trace written with lifecycle spans enabled?)", name)
+	if agg.events == 0 {
+		return fmt.Errorf("%s: no events", name)
+	}
+	fmt.Fprintf(out, "trace: %s (%d events, %.1f virtual seconds; %d spans, %d request spans, %d other events)\n",
+		name, agg.events, agg.maxT.Seconds(), len(spans), len(reqSpans),
+		agg.events-int64(len(spans)+len(reqSpans)+len(decRecs)))
+	if len(spans) > 0 {
+		printSpans(out, spans, decRecs, worstK)
+	}
+	if len(reqSpans) > 0 {
+		printRequests(out, reqSpans, byReq, worstK)
+	}
+	agg.printEvents(out)
+
+	fmt.Fprintln(out, "\n== trace integrity ==")
+	if violations > 0 {
+		fmt.Fprintf(out, "WARNING: %d spans violate the attribution invariant (phase sum != total)\n", violations)
+	} else if len(spans) > 0 {
+		fmt.Fprintf(out, "attribution invariant: all %d spans conserve (phase sum == total)\n", len(spans))
+	}
+	if len(reqSpans) > 0 {
+		if reqViolations > 0 {
+			fmt.Fprintf(out, "WARNING: %d request spans violate the attribution invariant (phase sum != wall)\n", reqViolations)
+		} else {
+			fmt.Fprintf(out, "request invariant: all %d request spans conserve (phase sum == wall)\n", len(reqSpans))
+		}
+	}
+	footer := agg.footer
+	if footer == nil {
+		fmt.Fprintln(out, "WARNING: no trace footer — the trace was cut short (writer crashed or was not closed)")
+	} else {
+		fmt.Fprintf(out, "footer: %d events emitted, %d dropped from the ring window, %d lost by the sink\n",
+			footer.Total, footer.RingDropped, footer.SinkDropped)
+		if footer.SinkDropped > 0 {
+			fmt.Fprintf(out, "WARNING: footer reports %d events lost to sink write errors\n", footer.SinkDropped)
+		}
+		// A count mismatch is worth a look but not a failed audit: the
+		// file may legitimately have been filtered or concatenated.
+		if footer.Total != agg.events+footer.SinkDropped {
+			fmt.Fprintf(out, "WARNING: file holds %d events but the footer claims %d emitted\n", agg.events, footer.Total)
+		}
 	}
 
+	// A failed audit is an exit-status failure, not just a WARNING line:
+	// conservation violations or a dropped/truncated trace mean every
+	// number above may be wrong, and CI must not greenlight it.
+	switch {
+	case violations > 0:
+		return fmt.Errorf("%w: %d spans violate the attribution invariant", errIntegrity, violations)
+	case reqViolations > 0:
+		return fmt.Errorf("%w: %d request spans violate the attribution invariant", errIntegrity, reqViolations)
+	case footer == nil:
+		return fmt.Errorf("%w: no trace footer", errIntegrity)
+	case footer.SinkDropped > 0:
+		return fmt.Errorf("%w: %d events lost to sink write errors", errIntegrity, footer.SinkDropped)
+	}
+	return nil
+}
+
+// printSpans renders the engine-span sections: response-time
+// percentiles, the per-phase attribution, the starvation tail and, when
+// the trace carries decision records, the per-cause wait breakdown.
+func printSpans(out io.Writer, spans []obs.Span, decRecs []obs.DecisionRecord, worstK int) {
 	sum := obs.SummarizeSpans(spans, worstK)
-	fmt.Fprintf(out, "trace: %s (%d spans, %d request spans, %d other events)\n",
-		name, len(spans), len(reqSpans), events)
 
 	fmt.Fprintln(out, "\n== response time ==")
 	fmt.Fprintf(out, "queries: %d (%d gate-blocked)\n", sum.Count, sum.Blocked)
@@ -241,81 +303,48 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 			fmt.Fprintln(out, "(jawsreport -why <query|request-id> reconstructs a full wait chain)")
 		}
 	}
+}
 
-	if len(reqSpans) > 0 {
-		rsum := obs.SummarizeReqSpans(reqSpans, worstK)
-		fmt.Fprintln(out, "\n== requests (wall clock) ==")
-		fmt.Fprintf(out, "requests: %d (%d ok)\n", rsum.Count, rsum.OK)
-		fmt.Fprintf(out, "mean %s   p50 %s   p90 %s   p95 %s   p99 %s   max %s\n",
-			fd(rsum.Mean), fd(rsum.P50), fd(rsum.P90), fd(rsum.P95), fd(rsum.P99), fd(rsum.Max))
+// printRequests renders the wall-clock request sections: percentiles,
+// the per-phase attribution, and the worst requests with the virtual
+// response time of the engine span each one stitched to.
+func printRequests(out io.Writer, reqSpans []obs.ReqSpan, byReq map[string]*obs.Span, worstK int) {
+	rsum := obs.SummarizeReqSpans(reqSpans, worstK)
+	fmt.Fprintln(out, "\n== requests (wall clock) ==")
+	fmt.Fprintf(out, "requests: %d (%d ok)\n", rsum.Count, rsum.OK)
+	fmt.Fprintf(out, "mean %s   p50 %s   p90 %s   p95 %s   p99 %s   max %s\n",
+		fd(rsum.Mean), fd(rsum.P50), fd(rsum.P90), fd(rsum.P95), fd(rsum.P99), fd(rsum.Max))
 
-		fmt.Fprintln(out, "\n== request attribution ==")
-		rb := &metrics.Table{Header: []string{"phase", "total", "share", "mean/request"}}
-		for _, row := range rsum.Attribution() {
-			rb.AddRow(row.Name, fd(row.Total), fmt.Sprintf("%.1f%%", row.Share*100), fd(row.MeanPerQuery))
-		}
-		fmt.Fprint(out, rb.String())
-
-		// The worst requests, with both clocks side by side: the wall
-		// phases around the engine and the virtual response time inside
-		// it (when the engine span stitched).
-		stitchedCount := 0
-		for i := range reqSpans {
-			if byReq[reqSpans[i].ID] != nil {
-				stitchedCount++
-			}
-		}
-		fmt.Fprintf(out, "\n== request tail (worst %d, %d/%d stitched to engine spans) ==\n",
-			len(rsum.WorstK), stitchedCount, len(reqSpans))
-		st := &metrics.Table{Header: []string{"request", "query", "status", "qdepth", "wall", "validate", "queued", "dispatch", "execute", "write", "virtual"}}
-		for i := range rsum.WorstK {
-			rs := &rsum.WorstK[i]
-			virt := "-"
-			if es := byReq[rs.ID]; es != nil {
-				virt = fd(es.Total())
-			}
-			st.AddRow(rs.ID, fmt.Sprint(rs.Query), fmt.Sprint(rs.Status), fmt.Sprint(rs.QueueDepth),
-				fd(rs.Wall), fd(rs.Validate), fd(rs.Queued), fd(rs.Dispatch), fd(rs.Execute), fd(rs.Write), virt)
-		}
-		fmt.Fprint(out, st.String())
+	fmt.Fprintln(out, "\n== request attribution ==")
+	rb := &metrics.Table{Header: []string{"phase", "total", "share", "mean/request"}}
+	for _, row := range rsum.Attribution() {
+		rb.AddRow(row.Name, fd(row.Total), fmt.Sprintf("%.1f%%", row.Share*100), fd(row.MeanPerQuery))
 	}
+	fmt.Fprint(out, rb.String())
 
-	fmt.Fprintln(out, "\n== trace integrity ==")
-	if violations > 0 {
-		fmt.Fprintf(out, "WARNING: %d spans violate the attribution invariant (phase sum != total)\n", violations)
-	} else {
-		fmt.Fprintf(out, "attribution invariant: all %d spans conserve (phase sum == total)\n", len(spans))
-	}
-	if len(reqSpans) > 0 {
-		if reqViolations > 0 {
-			fmt.Fprintf(out, "WARNING: %d request spans violate the attribution invariant (phase sum != wall)\n", reqViolations)
-		} else {
-			fmt.Fprintf(out, "request invariant: all %d request spans conserve (phase sum == wall)\n", len(reqSpans))
+	// The worst requests, with both clocks side by side: the wall
+	// phases around the engine and the virtual response time inside
+	// it (when the engine span stitched).
+	stitchedCount := 0
+	for i := range reqSpans {
+		if byReq[reqSpans[i].ID] != nil {
+			stitchedCount++
 		}
 	}
-	switch {
-	case footer == nil:
-		fmt.Fprintln(out, "WARNING: no trace footer — the trace was cut short (writer crashed or was not closed)")
-	case footer.SinkDropped > 0:
-		fmt.Fprintf(out, "WARNING: footer reports %d events lost to sink write errors\n", footer.SinkDropped)
-	default:
-		fmt.Fprintf(out, "footer: %d events emitted, 0 lost\n", footer.Total)
+	fmt.Fprintf(out, "\n== request tail (worst %d, %d/%d stitched to engine spans) ==\n",
+		len(rsum.WorstK), stitchedCount, len(reqSpans))
+	st := &metrics.Table{Header: []string{"request", "query", "status", "qdepth", "wall", "validate", "queued", "dispatch", "execute", "write", "virtual"}}
+	for i := range rsum.WorstK {
+		rs := &rsum.WorstK[i]
+		virt := "-"
+		if es := byReq[rs.ID]; es != nil {
+			virt = fd(es.Total())
+		}
+		st.AddRow(rs.ID, fmt.Sprint(rs.Query), fmt.Sprint(rs.Status), fmt.Sprint(rs.QueueDepth),
+			fd(rs.Wall), fd(rs.Validate), fd(rs.Queued), fd(rs.Dispatch), fd(rs.Execute), fd(rs.Write), virt)
 	}
+	fmt.Fprint(out, st.String())
 
-	// A failed audit is an exit-status failure, not just a WARNING line:
-	// conservation violations or a dropped/truncated trace mean every
-	// number above may be wrong, and CI must not greenlight it.
-	switch {
-	case violations > 0:
-		return fmt.Errorf("%w: %d spans violate the attribution invariant", errIntegrity, violations)
-	case reqViolations > 0:
-		return fmt.Errorf("%w: %d request spans violate the attribution invariant", errIntegrity, reqViolations)
-	case footer == nil:
-		return fmt.Errorf("%w: no trace footer", errIntegrity)
-	case footer.SinkDropped > 0:
-		return fmt.Errorf("%w: %d events lost to sink write errors", errIntegrity, footer.SinkDropped)
-	}
-	return nil
 }
 
 // resolveWhy maps the -why argument — a query ID or a request ID — to

@@ -11,10 +11,9 @@ package main
 import (
 	"fmt"
 	"os"
-	"time"
 
+	"jaws/internal/experiments"
 	"jaws/internal/job"
-	"jaws/internal/metrics"
 	"jaws/internal/workload"
 )
 
@@ -55,32 +54,14 @@ func main() {
 	}
 	fmt.Printf("job mix: %d ordered, %d batched, %d lone queries\n\n", ordered, batched, lone)
 
-	// Fig. 8-style duration histogram.
+	// Fig. 8 duration histogram and Fig. 9 step distribution.
 	if len(w.Durations) > 0 {
-		h := metrics.NewHistogram(time.Minute, 30*time.Minute, time.Hour, 2*time.Hour, 6*time.Hour)
-		for _, d := range w.Durations {
-			h.Add(d)
-		}
-		tbl := metrics.Table{Header: []string{"duration", "jobs", "fraction"}}
-		for i, label := range []string{"<1min", "1-30min", "30-60min", "1-2hr", "2-6hr", ">6hr"} {
-			tbl.AddRow(label, fmt.Sprint(h.Counts[i]), fmt.Sprintf("%.2f", h.Fraction(i)))
-		}
 		fmt.Println("job durations (Fig. 8):")
-		fmt.Println(tbl.String())
+		fmt.Println(experiments.Fig8Of(w.Durations).Table.String())
 	}
-
-	// Fig. 9-style step distribution.
 	if len(w.StepAccess) > 0 {
-		total := 0
-		for _, c := range w.StepAccess {
-			total += c
-		}
-		tbl := metrics.Table{Header: []string{"step", "queries", "fraction"}}
-		for s, c := range w.StepAccess {
-			tbl.AddRow(fmt.Sprint(s), fmt.Sprint(c), fmt.Sprintf("%.3f", float64(c)/float64(total)))
-		}
 		fmt.Println("step access (Fig. 9):")
-		fmt.Println(tbl.String())
+		fmt.Println(experiments.Fig9Of(w.StepAccess).Table.String())
 	}
 
 	// Identification accuracy on the raw log.

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"jaws"
+	"jaws/internal/obs"
 )
 
 func buildWorkload(space jaws.Space) []*jaws.Job {
@@ -95,7 +96,7 @@ func run(stretch float64) (small95 float64, tp float64) {
 		}
 	}
 	sort.Float64s(rts)
-	return rts[len(rts)*95/100], rep.ThroughputQPS
+	return rts[obs.PercentileIndex(len(rts), 95)], rep.ThroughputQPS
 }
 
 func main() {

@@ -24,7 +24,6 @@ import (
 	"jaws/internal/geom"
 	"jaws/internal/job"
 	"jaws/internal/jobgraph"
-	"jaws/internal/metrics"
 	"jaws/internal/morton"
 	"jaws/internal/obs"
 	"jaws/internal/prefetch"
@@ -232,7 +231,7 @@ type Engine struct {
 	completedRT []time.Duration
 	runCount    int
 	runStart    time.Duration
-	runRT       metrics.Summary
+	runRTSum    float64 // response seconds summed over the current run
 
 	report Report
 }
@@ -780,9 +779,10 @@ func (e *Engine) complete(st *queryState, now time.Duration) {
 
 	// Run accounting (§V.A): after r consecutive queries, report the
 	// run's performance to the scheduler and let the cache close its run.
-	e.runRT.Add(rt.Seconds())
+	e.runRTSum += rt.Seconds()
 	e.runCount++
 	if e.runCount >= e.cfg.RunLength {
+		meanRT := e.runRTSum / float64(e.runCount)
 		span := (now - e.runStart).Seconds()
 		tp := 0.0
 		if span > 0 {
@@ -790,16 +790,16 @@ func (e *Engine) complete(st *queryState, now time.Duration) {
 		}
 		e.report.Runs = append(e.report.Runs, RunStats{
 			EndedAt:     now,
-			MeanRespSec: e.runRT.Mean(),
+			MeanRespSec: meanRT,
 			Throughput:  tp,
 			Alpha:       e.cfg.Sched.Alpha(),
 		})
-		e.cfg.Sched.OnRunEnd(e.runRT.Mean(), tp)
-		e.inst.noteRunEnd(now, len(e.report.Runs), e.cfg.Sched.Alpha(), e.runRT.Mean(), tp)
+		e.cfg.Sched.OnRunEnd(meanRT, tp)
+		e.inst.noteRunEnd(now, len(e.report.Runs), e.cfg.Sched.Alpha(), meanRT, tp)
 		e.cfg.Cache.EndRun()
 		e.runCount = 0
 		e.runStart = now
-		e.runRT = metrics.Summary{}
+		e.runRTSum = 0
 	}
 }
 
@@ -919,8 +919,8 @@ func (e *Engine) finishReport() {
 			sum += rt
 		}
 		e.report.MeanResponse = sum / time.Duration(n)
-		e.report.P50Response = sorted[n/2]
-		e.report.P95Response = sorted[n*95/100]
+		e.report.P50Response = sorted[obs.PercentileIndex(n, 50)]
+		e.report.P95Response = sorted[obs.PercentileIndex(n, 95)]
 	}
 	e.report.CacheStats = e.cfg.Cache.Stats()
 	e.report.DiskStats = e.cfg.Store.DiskStats()

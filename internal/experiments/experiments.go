@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -258,28 +259,47 @@ func RunPolicy(s Scale, policy string) (*engine.Report, error) {
 
 // --- Fig. 8: distribution of jobs by execution time ---------------------
 
-// Fig8Result is the duration histogram of the generated trace.
+// fig8Bounds are the inclusive upper edges of Fig. 8's duration buckets;
+// the last of fig8Labels is the open bucket past them.
+var (
+	fig8Bounds = []time.Duration{time.Minute, 30 * time.Minute, time.Hour, 2 * time.Hour, 6 * time.Hour}
+	fig8Labels = []string{"<1min", "1-30min", "30-60min", "1-2hr", "2-6hr", ">6hr"}
+)
+
+// Fig8Result is the job-duration distribution of a trace.
 type Fig8Result struct {
-	Hist  *metrics.Histogram
-	Table metrics.Table
+	Counts []int // jobs per bucket, in Table row order
+	Table  metrics.Table
 }
 
 // Fig8 reproduces the job-duration distribution.
 func Fig8(s Scale) *Fig8Result {
-	w := workload.Generate(s.workloadConfig(1, s.Seed))
-	h := metrics.NewHistogram(
-		time.Minute, 30*time.Minute, time.Hour, 2*time.Hour, 6*time.Hour,
-	)
-	for _, d := range w.Durations {
-		h.Add(d)
+	return Fig8Of(workload.Generate(s.workloadConfig(1, s.Seed)).Durations)
+}
+
+// Fig8Of buckets job durations into Fig. 8's table.
+func Fig8Of(durations []time.Duration) *Fig8Result {
+	r := &Fig8Result{Counts: make([]int, len(fig8Labels))}
+	for _, d := range durations {
+		r.Counts[sort.Search(len(fig8Bounds), func(i int) bool { return d <= fig8Bounds[i] })]++
 	}
-	r := &Fig8Result{Hist: h}
 	r.Table.Header = []string{"duration", "jobs", "fraction"}
-	labels := []string{"<1min", "1-30min", "30-60min", "1-2hr", "2-6hr", ">6hr"}
-	for i, l := range labels {
-		r.Table.AddRow(l, fmt.Sprint(h.Counts[i]), fmt.Sprintf("%.2f", h.Fraction(i)))
+	for i, l := range fig8Labels {
+		r.Table.AddRow(l, fmt.Sprint(r.Counts[i]), fmt.Sprintf("%.2f", r.Fraction(i)))
 	}
 	return r
+}
+
+// Fraction returns the share of jobs in bucket i (0 for no jobs).
+func (r *Fig8Result) Fraction(i int) float64 {
+	total := 0
+	for _, c := range r.Counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(r.Counts[i]) / float64(total)
 }
 
 // --- Fig. 9: distribution of queries by time step accessed --------------
@@ -292,14 +312,18 @@ type Fig9Result struct {
 
 // Fig9 reproduces the time-step access skew.
 func Fig9(s Scale) *Fig9Result {
-	w := workload.Generate(s.workloadConfig(1, s.Seed))
-	r := &Fig9Result{Counts: w.StepAccess}
+	return Fig9Of(workload.Generate(s.workloadConfig(1, s.Seed)).StepAccess)
+}
+
+// Fig9Of tabulates per-step query counts as Fig. 9.
+func Fig9Of(stepAccess []int) *Fig9Result {
+	r := &Fig9Result{Counts: stepAccess}
 	total := 0
-	for _, c := range w.StepAccess {
+	for _, c := range stepAccess {
 		total += c
 	}
 	r.Table.Header = []string{"step", "sim time (s)", "queries", "fraction"}
-	for step, c := range w.StepAccess {
+	for step, c := range stepAccess {
 		simT := 2.0 * float64(step) / 1024 // paper time base: 1024 steps over 2 s
 		r.Table.AddRow(fmt.Sprint(step), fmt.Sprintf("%.4f", simT),
 			fmt.Sprint(c), fmt.Sprintf("%.3f", float64(c)/float64(total)))

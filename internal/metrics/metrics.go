@@ -1,23 +1,19 @@
-// Package metrics provides the measurement primitives the experiment
-// harness uses: streaming summaries, exponentially weighted moving
-// averages (JAWS smooths per-run response time and throughput with an
-// EWMA, §V.A), logarithmic histograms, and labelled series for the
-// figure-regeneration benches.
+// Package metrics renders the experiment harness's output: aligned
+// tables (and their CSV form), labelled series with text line and bar
+// charts for the figure-regeneration benches, and a streaming
+// count/mean/min/max summary.
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
-	"time"
 )
 
 // Summary accumulates streaming count/mean/min/max statistics.
 type Summary struct {
-	n          int64
-	sum, sumSq float64
-	min, max   float64
+	n        int64
+	sum      float64
+	min, max float64
 }
 
 // Add records one observation.
@@ -30,29 +26,6 @@ func (s *Summary) Add(v float64) {
 	}
 	s.n++
 	s.sum += v
-	s.sumSq += v * v
-}
-
-// Merge folds another summary into s, as if s had also seen every
-// observation o saw. The cluster report uses this to pool per-node
-// response-time summaries.
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n += o.n
-	s.sum += o.sum
-	s.sumSq += o.sumSq
 }
 
 // N returns the observation count.
@@ -71,122 +44,6 @@ func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the largest observation (0 when empty).
 func (s *Summary) Max() float64 { return s.max }
-
-// Std returns the population standard deviation (0 when empty).
-func (s *Summary) Std() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSq/float64(s.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// EWMA is the exponentially weighted moving average JAWS uses to smooth
-// per-run performance: x'(i) = w·x(i) + (1-w)·x'(i-1), with x'(0) = x(0).
-type EWMA struct {
-	w       float64
-	value   float64
-	started bool
-}
-
-// NewEWMA creates an EWMA with weight w on the newest observation. The
-// paper uses w = 0.2.
-func NewEWMA(w float64) *EWMA {
-	if w <= 0 || w > 1 {
-		panic(fmt.Sprintf("metrics: EWMA weight must be in (0,1], got %g", w))
-	}
-	return &EWMA{w: w}
-}
-
-// Observe folds in a new value and returns the smoothed result.
-func (e *EWMA) Observe(v float64) float64 {
-	if !e.started {
-		e.value = v
-		e.started = true
-		return v
-	}
-	e.value = e.w*v + (1-e.w)*e.value
-	return e.value
-}
-
-// Value returns the current smoothed value (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Started reports whether any observation has been folded in.
-func (e *EWMA) Started() bool { return e.started }
-
-// Histogram is a logarithmic-bucket histogram for durations, used to
-// report distributions like Fig. 8 (job execution times).
-type Histogram struct {
-	// Bounds are the inclusive upper edges of each bucket; the last
-	// bucket is unbounded.
-	Bounds []time.Duration
-	Counts []int64
-}
-
-// NewHistogram builds a histogram with the given ascending bucket bounds.
-func NewHistogram(bounds ...time.Duration) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("metrics: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{Bounds: bounds, Counts: make([]int64, len(bounds)+1)}
-}
-
-// Add records one duration.
-func (h *Histogram) Add(d time.Duration) {
-	i := sort.Search(len(h.Bounds), func(i int) bool { return d <= h.Bounds[i] })
-	h.Counts[i]++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Fraction returns the share of observations in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	t := h.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(t)
-}
-
-// Percentile returns the duration below which frac (0..1) of observations
-// fall, using the bucket upper edge as the estimate.
-func (h *Histogram) Percentile(frac float64) time.Duration {
-	t := h.Total()
-	if t == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(frac * float64(t)))
-	var cum int64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.Bounds) {
-				return h.Bounds[i]
-			}
-			if len(h.Bounds) == 0 {
-				// A bound-less histogram has only the open bucket and no
-				// edge to extrapolate from.
-				return 0
-			}
-			return h.Bounds[len(h.Bounds)-1] * 2 // open bucket: report beyond the edge
-		}
-	}
-	return 0
-}
 
 // Series is a labelled sequence of (x, y) points — one line of a figure.
 type Series struct {

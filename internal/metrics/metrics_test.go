@@ -5,12 +5,11 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.N() != 0 || s.Mean() != 0 || s.Std() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Fatal("empty summary not zeroed")
 	}
 }
@@ -26,15 +25,12 @@ func TestSummaryBasics(t *testing.T) {
 	if s.Mean() != 5 {
 		t.Fatalf("Mean = %g", s.Mean())
 	}
-	if math.Abs(s.Std()-2) > 1e-12 {
-		t.Fatalf("Std = %g, want 2", s.Std())
-	}
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Fatalf("Min/Max = %g/%g", s.Min(), s.Max())
 	}
 }
 
-// Property: mean is always within [min, max] and Std is non-negative.
+// Property: mean is always within [min, max].
 func TestSummaryInvariant(t *testing.T) {
 	f := func(vals []float64) bool {
 		var s Summary
@@ -47,119 +43,10 @@ func TestSummaryInvariant(t *testing.T) {
 		if s.N() == 0 {
 			return true
 		}
-		return s.Mean() >= s.Min()-1e-9 && s.Mean() <= s.Max()+1e-9 && s.Std() >= 0
+		return s.Mean() >= s.Min()-1e-9 && s.Mean() <= s.Max()+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEWMAPaperRecurrence(t *testing.T) {
-	// rt'(i) = 0.2 rt(i) + 0.8 rt'(i-1), rt'(0) = rt(0).
-	e := NewEWMA(0.2)
-	if e.Started() {
-		t.Fatal("fresh EWMA started")
-	}
-	if got := e.Observe(10); got != 10 {
-		t.Fatalf("first observation = %g, want 10", got)
-	}
-	if got := e.Observe(20); math.Abs(got-12) > 1e-12 {
-		t.Fatalf("second observation = %g, want 12", got)
-	}
-	if math.Abs(e.Value()-12) > 1e-12 {
-		t.Fatalf("Value = %g", e.Value())
-	}
-}
-
-func TestEWMAValidation(t *testing.T) {
-	for _, w := range []float64{0, -0.1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("weight %g accepted", w)
-				}
-			}()
-			NewEWMA(w)
-		}()
-	}
-}
-
-// Property: EWMA output is always between min and max of inputs seen.
-func TestEWMABounded(t *testing.T) {
-	f := func(vals []float64) bool {
-		e := NewEWMA(0.2)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-			got := e.Observe(v)
-			if got < lo-1e-9*math.Abs(lo)-1e-12 || got > hi+1e-9*math.Abs(hi)+1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(time.Second, time.Minute, time.Hour)
-	h.Add(500 * time.Millisecond) // bucket 0
-	h.Add(time.Second)            // bucket 0 (inclusive upper edge)
-	h.Add(30 * time.Second)       // bucket 1
-	h.Add(2 * time.Hour)          // open bucket
-	if h.Total() != 4 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	want := []int64{2, 1, 0, 1}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	if h.Fraction(0) != 0.5 {
-		t.Fatalf("Fraction(0) = %g", h.Fraction(0))
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-ascending bounds accepted")
-		}
-	}()
-	NewHistogram(time.Minute, time.Second)
-}
-
-func TestHistogramPercentile(t *testing.T) {
-	h := NewHistogram(time.Second, time.Minute, time.Hour)
-	for i := 0; i < 90; i++ {
-		h.Add(time.Millisecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(30 * time.Minute)
-	}
-	if p := h.Percentile(0.5); p != time.Second {
-		t.Fatalf("p50 = %v, want 1s bucket edge", p)
-	}
-	if p := h.Percentile(0.99); p != time.Hour {
-		t.Fatalf("p99 = %v, want 1h bucket edge", p)
-	}
-	var empty Histogram
-	if empty.Percentile(0.5) != 0 {
-		t.Fatal("empty percentile not 0")
-	}
-}
-
-func TestHistogramEmptyFraction(t *testing.T) {
-	h := NewHistogram(time.Second)
-	if h.Fraction(0) != 0 {
-		t.Fatal("empty fraction not 0")
 	}
 }
 
@@ -187,5 +74,21 @@ func TestTableRendering(t *testing.T) {
 	// Columns aligned: header and rows share the separator width.
 	if len(lines[0]) > len(lines[1])+2 {
 		t.Fatalf("misaligned table:\n%s", out)
+	}
+}
+
+// Regression: a row wider than the header used to index past the width
+// table and panic; now the extra columns render.
+func TestTableRaggedRows(t *testing.T) {
+	tb := &Table{Header: []string{"a", "b"}}
+	tb.AddRow("1")
+	tb.AddRow("1", "2", "3")
+	s := tb.String()
+	if !strings.Contains(s, "3") {
+		t.Fatalf("extra column dropped from rendering:\n%s", s)
+	}
+	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("got %d lines, want 4:\n%s", len(lines), s)
 	}
 }

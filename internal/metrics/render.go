@@ -32,7 +32,7 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// barChart renders horizontal bars for labelled values — the text
+// BarChart renders horizontal bars for labelled values — the text
 // equivalent of the paper's bar figures.
 func BarChart(labels []string, values []float64, width int) string {
 	if width <= 0 {
@@ -103,10 +103,18 @@ func LineChart(series []Series, height int) string {
 		canvas[r] = []byte(strings.Repeat(" ", width*colsPerPoint))
 	}
 	marks := []byte{'*', 'o', '+', 'x', '#', '@'}
+	// Halving before subtracting keeps the span finite for any finite
+	// range; a point that still has no position (an infinite value, e.g.
+	// an overflowed bucket average) is left off the canvas.
+	span := maxY/2 - minY/2
 	for si, s := range series {
 		mark := marks[si%len(marks)]
 		for i, y := range s.Y {
-			row := int(math.Round((maxY - y) / (maxY - minY) * float64(height-1)))
+			frac := (maxY/2 - y/2) / span
+			if math.IsNaN(frac) {
+				continue
+			}
+			row := int(math.Round(frac * float64(height-1)))
 			col := i * colsPerPoint
 			canvas[row][col] = mark
 		}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -73,6 +74,20 @@ func TestLineChartDownsamplesLongSeries(t *testing.T) {
 	for _, line := range strings.Split(out, "\n") {
 		if len(line) > 300 {
 			t.Fatalf("chart line %d chars wide, not downsampled", len(line))
+		}
+	}
+}
+
+// Regression: a range wider than the largest float64 (or an infinite
+// point) made the row NaN and indexed the canvas out of range.
+func TestLineChartExtremeRange(t *testing.T) {
+	for _, ys := range [][]float64{
+		{1e308, -1e308},
+		{math.Inf(1), 0, 1},
+		{math.Inf(-1), math.Inf(1)},
+	} {
+		if out := LineChart([]Series{{Label: "wide", Y: ys}}, 8); !strings.Contains(out, "wide") {
+			t.Fatalf("%v: chart lost its legend:\n%s", ys, out)
 		}
 	}
 }

@@ -7,7 +7,7 @@
 // throughput metric U_t, the aged U_e, the adaptive α, gating admissions,
 // cache and disk interactions — that end-of-run aggregates cannot
 // explain. This package captures those decisions as they happen so that
-// tools (cmd/tracestat, the /metrics endpoint of examples/clusterservice)
+// tools (cmd/jawsreport, the /metrics endpoint of examples/clusterservice)
 // can reconstruct why a batch was chosen and where time went.
 //
 // Zero-overhead-when-disabled contract: every update method on *Counter,

@@ -305,7 +305,7 @@ func SummarizeReqSpans(spans []ReqSpan, worstK int) ReqSpanSummary {
 		}
 	}
 	sum.Mean = sum.TotalWall / time.Duration(n)
-	at := func(q int) time.Duration { return sorted[n-1-n*q/100].Wall }
+	at := func(q int) time.Duration { return sorted[n-1-PercentileIndex(n, q)].Wall }
 	sum.P50, sum.P90, sum.P95, sum.P99 = at(50), at(90), at(95), at(99)
 	sum.Max = sorted[0].Wall
 	if worstK > n {

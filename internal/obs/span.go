@@ -219,6 +219,17 @@ func (a *SpanAgg) Summarize(worstK int) SpanSummary {
 	return SummarizeSpans(spans, worstK)
 }
 
+// PercentileIndex is the tree's one percentile rule: the nearest-rank
+// index n*q/100 of the q-th percentile in an ascending order of n > 0
+// values (q = 100 and above clamp to the maximum). A descending order
+// reads the same rank at n-1-PercentileIndex(n, q).
+func PercentileIndex(n, q int) int {
+	if i := n * q / 100; i < n {
+		return i
+	}
+	return n - 1
+}
+
 // SummarizeSpans aggregates an explicit span list (the aggregator-free
 // path used by trace-reading tools).
 func SummarizeSpans(spans []Span, worstK int) SpanSummary {
@@ -246,8 +257,8 @@ func SummarizeSpans(spans []Span, worstK int) SpanSummary {
 		}
 	}
 	sum.Mean = sum.TotalResponse / time.Duration(n)
-	// sorted is descending: the q-th percentile sits at index n-1-n*q/100.
-	at := func(q int) time.Duration { return sorted[n-1-n*q/100].Total() }
+	// sorted is descending, so ranks count from the tail.
+	at := func(q int) time.Duration { return sorted[n-1-PercentileIndex(n, q)].Total() }
 	sum.P50, sum.P90, sum.P95, sum.P99 = at(50), at(90), at(95), at(99)
 	sum.Max = sorted[0].Total()
 	if worstK > n {

@@ -136,6 +136,28 @@ func TestSummarizeSpansPercentilesAndWorstK(t *testing.T) {
 	}
 }
 
+// TestPercentileIndex pins the one percentile rule: nearest rank n*q/100
+// into the ascending order, with q = 100 clamped to the maximum.
+func TestPercentileIndex(t *testing.T) {
+	qs := []int{0, 50, 90, 95, 99, 100}
+	for _, tc := range []struct {
+		n    int
+		want []int // one index per q in qs
+	}{
+		{1, []int{0, 0, 0, 0, 0, 0}},
+		{2, []int{0, 1, 1, 1, 1, 1}},
+		{99, []int{0, 49, 89, 94, 98, 98}},
+		{100, []int{0, 50, 90, 95, 99, 99}},
+		{101, []int{0, 50, 90, 95, 99, 100}},
+	} {
+		for i, q := range qs {
+			if got := PercentileIndex(tc.n, q); got != tc.want[i] {
+				t.Errorf("PercentileIndex(%d, %d) = %d, want %d", tc.n, q, got, tc.want[i])
+			}
+		}
+	}
+}
+
 func TestSummarizeSpansDeterministicOrder(t *testing.T) {
 	// Same spans, reversed insertion order: identical summary, including
 	// tie-breaks among equal totals.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -124,8 +125,8 @@ type roundRef struct {
 // non-decreasing) plus query → serving-round and query → blocked-round
 // inverted indexes.
 type DecisionIndex struct {
-	byEngine map[int][]DecisionRecord
-	servedAt map[int64][]roundRef
+	byEngine  map[int][]DecisionRecord
+	servedAt  map[int64][]roundRef
 	blockedAt map[int64][]roundRef
 }
 
@@ -359,8 +360,8 @@ func CauseBreakdown(spans []Span, ix *DecisionIndex) []CauseTail {
 	n := len(spans)
 	for _, cause := range AllWaitCauses {
 		ds := perCause[cause]
-		sort.Slice(ds, func(i, j int) bool { return ds[i] > ds[j] })
-		at := func(q int) time.Duration { return ds[n-1-n*q/100] }
+		slices.Sort(ds)
+		at := func(q int) time.Duration { return ds[PercentileIndex(n, q)] }
 		out = append(out, CauseTail{
 			Cause:   string(cause),
 			TotalMS: ms(totals[cause]),

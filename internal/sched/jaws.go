@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"jaws/internal/metrics"
 	"jaws/internal/obs"
 	"jaws/internal/query"
 	"jaws/internal/store"
@@ -319,7 +318,8 @@ type alphaController struct {
 	alpha    float64
 	adaptive bool
 
-	rtE, tpE       *metrics.EWMA
+	rtS, tpS       float64 // EWMA-smoothed response time and throughput
+	smoothed       bool    // rtS/tpS hold at least one run
 	prevRt, prevTp float64
 	havePrev       bool
 	flatRuns       int
@@ -333,8 +333,6 @@ func newAlphaController(alpha float64, adaptive bool) *alphaController {
 	return &alphaController{
 		alpha:       alpha,
 		adaptive:    adaptive,
-		rtE:         metrics.NewEWMA(0.2),
-		tpE:         metrics.NewEWMA(0.2),
 		exploreSign: 1,
 	}
 }
@@ -351,8 +349,19 @@ func (c *alphaController) onRunEnd(rt, tp float64) {
 	if !c.adaptive {
 		return
 	}
-	srt := c.rtE.Observe(rt)
-	stp := c.tpE.Observe(tp)
+	// x'(0) = x(0); after that x' = w·x + (1−w)·x' with w = 0.2. The
+	// weight is a float64 variable, not an untyped constant, so 1−w is
+	// float64 arithmetic (not an exact 0.8), bit for bit what the
+	// oracle's restatement of the recurrence computes.
+	w := 0.2
+	if !c.smoothed {
+		c.rtS, c.tpS = rt, tp
+		c.smoothed = true
+	} else {
+		c.rtS = w*rt + (1-w)*c.rtS
+		c.tpS = w*tp + (1-w)*c.tpS
+	}
+	srt, stp := c.rtS, c.tpS
 	defer func() { c.History = append(c.History, c.alpha) }()
 	if !c.havePrev {
 		c.prevRt, c.prevTp = srt, stp
