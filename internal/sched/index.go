@@ -3,6 +3,7 @@ package sched
 import (
 	"sort"
 
+	"jaws/internal/query"
 	"jaws/internal/store"
 )
 
@@ -231,6 +232,14 @@ func (q *queues) siftDown(i int) {
 
 // --- freelists ----------------------------------------------------------
 
+// atomQueueCap is the sub-query capacity a fresh atom queue starts with.
+// Recycled queues go to whichever atom arrives next, so a queue that only
+// ever held one sub-query would otherwise grow, and allocate, the first
+// time it is handed a contended atom; sizing the slice up front keeps a
+// steady state at this contention depth allocation-free from the first
+// recycle on.
+const atomQueueCap = 4
+
 // newAtomQueue returns a recycled (or fresh) atom queue for id.
 func (q *queues) newAtomQueue(id store.AtomID) *atomQueue {
 	if n := len(q.freeAtoms); n > 0 {
@@ -240,7 +249,7 @@ func (q *queues) newAtomQueue(id store.AtomID) *atomQueue {
 		aq.id = id
 		return aq
 	}
-	return &atomQueue{id: id, heapIdx: -1}
+	return &atomQueue{id: id, heapIdx: -1, subs: make([]*query.SubQuery, 0, atomQueueCap)}
 }
 
 // beginDecision recycles the atom queues released by the previous
