@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-oracle check-prop check-bench check-bench-scenarios check-tail-scenarios build vet test race race-obs fuzz-smoke bench-sched bench bench-compare e2e-serve lint
+.PHONY: loc check check-oracle check-prop check-bench check-bench-scenarios check-tail-scenarios build vet test race race-obs fuzz-smoke bench-sched bench bench-compare e2e-serve lint
 
 ## check: everything CI should gate on.
 check: vet build test race fuzz-smoke
@@ -42,6 +42,13 @@ check-tail-scenarios:
 
 build:
 	$(GO) build ./...
+
+## loc: non-test and test Go line counts (wallbench/ and .bench_build/
+## excluded), the figures CHANGES.md tracks on every change.
+LOC_FIND = find . -name '*.go' -not -path './wallbench/*' -not -path './.bench_build/*'
+loc:
+	@echo "non-test $$($(LOC_FIND) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test     $$($(LOC_FIND) -name '*_test.go' -exec cat {} + | wc -l)"
 
 vet:
 	$(GO) vet ./...

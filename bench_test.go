@@ -1,4 +1,4 @@
-package jaws
+package jaws_test
 
 // Benchmark harness: one bench per table and figure of the paper's
 // evaluation (§VI), plus ablations for the design choices called out in
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"jaws"
 	"jaws/internal/experiments"
 	"jaws/internal/job"
 	"jaws/internal/workload"
@@ -133,8 +134,8 @@ func BenchmarkFig12BatchSize(b *testing.B) {
 // virtual seconds per query.
 func BenchmarkTable1Caches(b *testing.B) {
 	s := benchScale()
-	for _, pol := range []string{"lru-k", "slru", "urc", "lru", "fifo"} {
-		b.Run(pol, func(b *testing.B) {
+	for _, pol := range []jaws.CachePolicy{jaws.PolicyLRUK, jaws.PolicySLRU, jaws.PolicyURC, jaws.PolicyLRU, jaws.PolicyFIFO} {
+		b.Run(pol.String(), func(b *testing.B) {
 			var hit, spq float64
 			for i := 0; i < b.N; i++ {
 				rep, err := experiments.RunPolicy(s, pol)
@@ -221,17 +222,17 @@ func BenchmarkAblationAdaptiveAlpha(b *testing.B) {
 func BenchmarkEndToEndFacade(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sys, err := Open(Config{
-			Space:      Space{GridSide: 128, AtomSide: 32},
+		sys, err := jaws.Open(jaws.Config{
+			Space:      jaws.Space{GridSide: 128, AtomSide: 32},
 			Steps:      4,
-			Scheduler:  SchedJAWS2,
+			Scheduler:  jaws.SchedJAWS2,
 			CacheAtoms: 16,
 			Seed:       int64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		w := GenerateWorkload(WorkloadConfig{Seed: int64(i), Steps: 4, Jobs: 10})
+		w := jaws.GenerateWorkload(jaws.WorkloadConfig{Seed: int64(i), Steps: 4, Jobs: 10})
 		if _, err := sys.Run(w.Jobs); err != nil {
 			b.Fatal(err)
 		}

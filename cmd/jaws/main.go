@@ -8,7 +8,8 @@
 //	jaws -sched jaws2 -policy urc -k 10 -speedup 4
 //
 // Schedulers: noshare, liferaft1, liferaft2, jaws1, jaws2.
-// Cache policies: lruk, slru, urc, lru, fifo.
+// Cache policies: lru-k, slru, urc, lru, fifo, 2q.
+// Names match case-insensitively and ignore '-' (lruk, LRU-K).
 package main
 
 import (
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"jaws"
@@ -32,8 +32,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("jaws", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		schedName = fs.String("sched", "jaws2", "scheduler: noshare, liferaft1, liferaft2, jaws1, jaws2")
-		policy    = fs.String("policy", "lruk", "cache policy: lruk, slru, urc, lru, fifo")
+		schedName = fs.String("sched", "jaws2", "scheduler: "+jaws.SchedulerNames())
+		policy    = fs.String("policy", "lruk", "cache policy: "+jaws.CachePolicyNames())
 		tailPol   = fs.String("tail-policy", "", "tail-policy spec decorating a JAWS scheduler, e.g. 'gate-aware;adaptive-batch:min=4,max=32' (DESIGN.md §18)")
 		tracePath = fs.String("trace", "", "replay a trace file written by tracegen (otherwise generate)")
 		jobs      = fs.Int("jobs", 200, "jobs to generate when no trace is given")
@@ -59,35 +59,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var sched jaws.Scheduler
-	switch strings.ToLower(*schedName) {
-	case "noshare":
-		sched = jaws.SchedNoShare
-	case "liferaft1":
-		sched = jaws.SchedLifeRaft1
-	case "liferaft2":
-		sched = jaws.SchedLifeRaft2
-	case "jaws1":
-		sched = jaws.SchedJAWS1
-	case "jaws2":
-		sched = jaws.SchedJAWS2
-	default:
-		return errf("unknown scheduler %q", *schedName)
+	sched, err := jaws.ParseScheduler(*schedName)
+	if err != nil {
+		return errf("%v", err)
 	}
-	var pol jaws.CachePolicy
-	switch strings.ToLower(*policy) {
-	case "lruk":
-		pol = jaws.PolicyLRUK
-	case "slru":
-		pol = jaws.PolicySLRU
-	case "urc":
-		pol = jaws.PolicyURC
-	case "lru":
-		pol = jaws.PolicyLRU
-	case "fifo":
-		pol = jaws.PolicyFIFO
-	default:
-		return errf("unknown cache policy %q", *policy)
+	pol, err := jaws.ParseCachePolicy(*policy)
+	if err != nil {
+		return errf("%v", err)
 	}
 
 	var w *jaws.Workload

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"jaws"
 )
 
 // tiny are flags keeping a run under a second.
@@ -44,6 +46,37 @@ func TestRunSchedulerSelection(t *testing.T) {
 		}
 		if got := strings.Contains(out, "gating"); got != wantGating {
 			t.Errorf("%s: gating section present=%v, want %v", name, got, wantGating)
+		}
+	}
+}
+
+func TestRunPolicySelection(t *testing.T) {
+	for _, name := range strings.Split(jaws.CachePolicyNames(), ", ") {
+		pol, err := jaws.ParseCachePolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, out, errb := runCLI(t, append(tiny, "-sched", "jaws1", "-policy", name)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", name, code, errb)
+		}
+		if want := "cache policy    " + pol.String(); !strings.Contains(out, want) {
+			t.Errorf("%s: output missing %q", name, want)
+		}
+	}
+}
+
+func TestDocListsMatchTables(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"// Schedulers: " + jaws.SchedulerNames() + ".",
+		"// Cache policies: " + jaws.CachePolicyNames() + ".",
+	} {
+		if !strings.Contains(string(src), want) {
+			t.Errorf("package comment missing %q", want)
 		}
 	}
 }

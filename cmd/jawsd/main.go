@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -55,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		atom        = fs.Int("atom", 32, "atom side in voxels")
 		steps       = fs.Int("steps", 8, "stored time steps per node")
 		seed        = fs.Int64("seed", 1, "turbulence field seed (replicas share it: same data)")
-		schedName   = fs.String("sched", "jaws2", "scheduler: noshare, liferaft1, liferaft2, jaws1, jaws2")
+		schedName   = fs.String("sched", "jaws2", "scheduler: "+jaws.SchedulerNames())
 		tailPol     = fs.String("tail-policy", "", "tail-policy spec decorating a JAWS scheduler on every node, e.g. 'gate-aware;adaptive-batch:min=4,max=32' (DESIGN.md §18)")
 		cacheAtoms  = fs.Int("cache", 64, "cache capacity in atoms per node")
 		faultSpec   = fs.String("fault-spec", "", "deterministic fault schedule, e.g. 'disk-transient:p=0.05' (see internal/fault)")
@@ -81,20 +80,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var sched jaws.Scheduler
-	switch strings.ToLower(*schedName) {
-	case "noshare":
-		sched = jaws.SchedNoShare
-	case "liferaft1":
-		sched = jaws.SchedLifeRaft1
-	case "liferaft2":
-		sched = jaws.SchedLifeRaft2
-	case "jaws1":
-		sched = jaws.SchedJAWS1
-	case "jaws2":
-		sched = jaws.SchedJAWS2
-	default:
-		return errf("unknown scheduler %q", *schedName)
+	sched, err := jaws.ParseScheduler(*schedName)
+	if err != nil {
+		return errf("%v", err)
 	}
 	if *nodes < 1 {
 		return errf("need at least one node, got %d", *nodes)

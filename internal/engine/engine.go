@@ -38,8 +38,8 @@ type Config struct {
 	Store *store.Store
 	Cache *cache.Cache
 	Sched sched.Scheduler
-	// Cost is the T_b/T_m model shared with the scheduler. If zero, T_b
-	// defaults to a cold 8 MB read estimate and T_m to 20 µs.
+	// Cost is the T_b/T_m model shared with the scheduler; zero halves are
+	// filled by ResolveCost.
 	Cost sched.CostModel
 	// JobAware enables gated execution (§IV): ordered jobs are registered
 	// in the precedence graph and queries are admitted to the workload
@@ -250,12 +250,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.StallLimit <= 0 {
 		cfg.StallLimit = 1 << 20
 	}
-	if cfg.Cost.Tb <= 0 {
-		cfg.Cost.Tb = estimateTb()
-	}
-	if cfg.Cost.Tm <= 0 {
-		cfg.Cost.Tm = 20 * time.Microsecond
-	}
+	cfg.Cost = ResolveCost(cfg.Cost)
 	if cfg.DecisionOverhead == 0 {
 		cfg.DecisionOverhead = 50 * time.Millisecond
 	}
@@ -339,11 +334,18 @@ func (e *Engine) advanceTo(at time.Duration) {
 	e.inst.noteAdvance(causeWait, d)
 }
 
-// estimateTb returns the cold-read cost of one nominal atom on the default
-// disk array — the empirically derived T_b of Eq. 1.
-func estimateTb() time.Duration {
-	a := disk.NewArray(4, disk.DefaultParams())
-	return a.Read(0, field.NominalAtomBytes)
+// ResolveCost fills the unset half of an Eq. 1 cost model: T_b defaults to
+// the cold-read cost of one nominal atom on the default disk array (the
+// empirically derived T_b), T_m to 20 µs per position. A scheduler and the
+// engine driving it must share the resolved model.
+func ResolveCost(c sched.CostModel) sched.CostModel {
+	if c.Tb <= 0 {
+		c.Tb = disk.NewArray(4, disk.DefaultParams()).Read(0, field.NominalAtomBytes)
+	}
+	if c.Tm <= 0 {
+		c.Tm = 20 * time.Microsecond
+	}
+	return c
 }
 
 // Run executes the jobs to completion and returns the report. Batched

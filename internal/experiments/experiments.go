@@ -14,7 +14,7 @@ import (
 	"sync"
 	"time"
 
-	"jaws/internal/cache"
+	"jaws"
 	"jaws/internal/engine"
 	"jaws/internal/fault"
 	"jaws/internal/geom"
@@ -22,7 +22,6 @@ import (
 	"jaws/internal/metrics"
 	"jaws/internal/obs"
 	"jaws/internal/sched"
-	"jaws/internal/store"
 	"jaws/internal/workload"
 )
 
@@ -120,97 +119,56 @@ func (s Scale) workloadConfig(speedUp float64, seed int64) workload.Config {
 	return cfg
 }
 
-// Algorithm identifies one evaluated configuration (Fig. 10's x axis).
-type Algorithm int
+// Algorithm identifies one evaluated configuration (Fig. 10's x axis): a
+// facade scheduler, named as in the paper.
+type Algorithm = jaws.Scheduler
 
 const (
-	AlgNoShare Algorithm = iota
-	AlgLifeRaft1
-	AlgLifeRaft2
-	AlgJAWS1
-	AlgJAWS2
+	AlgNoShare   = jaws.SchedNoShare
+	AlgLifeRaft1 = jaws.SchedLifeRaft1
+	AlgLifeRaft2 = jaws.SchedLifeRaft2
+	AlgJAWS1     = jaws.SchedJAWS1
+	AlgJAWS2     = jaws.SchedJAWS2
 )
-
-// String names the algorithm as in the paper.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgNoShare:
-		return "NoShare"
-	case AlgLifeRaft1:
-		return "LifeRaft1"
-	case AlgLifeRaft2:
-		return "LifeRaft2"
-	case AlgJAWS1:
-		return "JAWS1"
-	case AlgJAWS2:
-		return "JAWS2"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
 
 // AllAlgorithms lists the Fig. 10 lineup.
 func AllAlgorithms() []Algorithm {
 	return []Algorithm{AlgNoShare, AlgLifeRaft1, AlgLifeRaft2, AlgJAWS1, AlgJAWS2}
 }
 
-// runOne executes the given workload under one algorithm with a fresh
-// store and cache, returning the engine report.
-func runOne(s Scale, alg Algorithm, policy func(capacity int) cache.Policy, jobs []*job.Job, batchSize int) (*engine.Report, error) {
-	st, err := store.Open(store.Config{
+// nodeConfig is the facade configuration of one suite run: the scale's
+// store, cache, cost and faults under alg with batch size k.
+func (s Scale) nodeConfig(alg Algorithm, k int) jaws.Config {
+	return jaws.Config{
 		Space:      s.Space,
 		Steps:      s.Steps,
 		SampleSide: s.SampleSide,
 		Seed:       s.Seed,
-	})
+		Scheduler:  alg,
+		BatchSize:  k,
+		CacheAtoms: s.CacheAtoms,
+		Cost:       s.Cost,
+		RunLength:  s.RunLength,
+		Fault:      s.FaultSpec,
+		FaultSeed:  s.FaultSeed,
+	}
+}
+
+// runOne executes the given workload under one algorithm and cache policy
+// on a fresh facade system, returning the engine report. The scale's tail
+// policy decorates only the JAWS algorithms.
+func runOne(s Scale, alg Algorithm, policy jaws.CachePolicy, jobs []*job.Job, k int) (*engine.Report, error) {
+	cfg := s.nodeConfig(alg, k)
+	cfg.Policy = policy
+	cfg.Obs = s.Obs
+	if alg == AlgJAWS1 || alg == AlgJAWS2 {
+		cfg.TailPolicy = s.TailPolicy
+	}
+	sys, err := jaws.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if policy == nil {
-		policy = func(capacity int) cache.Policy { return cache.NewLRUK(2, 0) }
-	}
-	c := cache.New(s.CacheAtoms, policy(s.CacheAtoms))
-	var sc sched.Scheduler
-	switch alg {
-	case AlgNoShare:
-		sc = sched.NewNoShare()
-	case AlgLifeRaft1:
-		sc = sched.NewLifeRaft(s.Cost, 1, c.Contains)
-	case AlgLifeRaft2:
-		sc = sched.NewLifeRaft(s.Cost, 0, c.Contains)
-	default:
-		inner := sched.NewJAWS(sched.JAWSConfig{
-			Cost:         s.Cost,
-			BatchSize:    batchSize,
-			InitialAlpha: 0.5,
-			Adaptive:     true,
-			Resident:     c.Contains,
-		})
-		sc = inner
-		if s.TailPolicy != "" {
-			spec, err := sched.ParsePolicySpec(s.TailPolicy)
-			if err != nil {
-				return nil, err
-			}
-			sc = spec.Wrap(inner)
-		}
-	}
-	e, err := engine.New(engine.Config{
-		Store:     st,
-		Cache:     c,
-		Sched:     sc,
-		Cost:      s.Cost,
-		JobAware:  alg == AlgJAWS2,
-		RunLength: s.RunLength,
-		Obs:       s.Obs,
-		Fault:     fault.New(s.FaultSpec, s.FaultSeed, 0),
-		// NoShare shares no I/O across queries (§VI): the cache is
-		// flushed after every query, as in the paper's methodology.
-		FlushPerDecision: alg == AlgNoShare,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(jobs)
+	return sys.Run(jobs)
 }
 
 // FreshJobs re-generates the workload so every run starts from pristine
@@ -226,35 +184,19 @@ func (s Scale) freshJobs(speedUp float64) []*job.Job { return FreshJobs(s, speed
 // with batch size k, using the default LRU-K cache. Exported for the
 // repository's benchmark suite.
 func RunAlgorithm(s Scale, alg Algorithm, k int) (*engine.Report, error) {
-	return runOne(s, alg, nil, s.freshJobs(1), k)
+	return runOne(s, alg, jaws.PolicyLRUK, s.freshJobs(1), k)
 }
 
 // RunAlgorithmOn is RunAlgorithm with a caller-provided job list (e.g. a
 // different saturation speed-up).
 func RunAlgorithmOn(s Scale, alg Algorithm, jobs []*job.Job, k int) (*engine.Report, error) {
-	return runOne(s, alg, nil, jobs, k)
+	return runOne(s, alg, jaws.PolicyLRUK, jobs, k)
 }
 
-// RunPolicy executes the speed-up-1 workload under JAWS1 with the named
-// cache replacement policy ("lru-k", "slru", "urc", "lru", "fifo").
-func RunPolicy(s Scale, policy string) (*engine.Report, error) {
-	mk := func(capacity int) cache.Policy {
-		switch policy {
-		case "slru":
-			return cache.NewSLRU(capacity, 0.05)
-		case "urc":
-			return cache.NewURC()
-		case "lru":
-			return cache.NewLRU()
-		case "fifo":
-			return cache.NewFIFO()
-		case "2q":
-			return cache.NewTwoQ(capacity)
-		default:
-			return cache.NewLRUK(2, 0)
-		}
-	}
-	return runOne(s, AlgJAWS1, mk, s.freshJobs(1), s.BatchSize)
+// RunPolicy executes the speed-up-1 workload under JAWS1 with the given
+// cache replacement policy.
+func RunPolicy(s Scale, policy jaws.CachePolicy) (*engine.Report, error) {
+	return runOne(s, AlgJAWS1, policy, s.freshJobs(1), s.BatchSize)
 }
 
 // --- Fig. 8: distribution of jobs by execution time ---------------------
@@ -353,7 +295,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	r.Table.Header = []string{"algorithm", "throughput (q/s)", "vs NoShare"}
 	var base float64
 	for _, alg := range AllAlgorithms() {
-		rep, err := runOne(s, alg, nil, s.freshJobs(1), s.BatchSize)
+		rep, err := runOne(s, alg, jaws.PolicyLRUK, s.freshJobs(1), s.BatchSize)
 		if err != nil {
 			return nil, err
 		}
@@ -419,7 +361,7 @@ func Fig11(s Scale, speedUps []float64) (*Fig11Result, error) {
 			wg.Add(1)
 			go func(idx int, su float64, alg Algorithm) {
 				defer wg.Done()
-				rep, err := runOne(s, alg, nil, s.freshJobs(su), s.BatchSize)
+				rep, err := runOne(s, alg, jaws.PolicyLRUK, s.freshJobs(su), s.BatchSize)
 				if err != nil {
 					grid[idx] = cell{err: err}
 					return
@@ -490,7 +432,7 @@ func Fig12(s Scale, ks []int) (*Fig12Result, error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		base, err := runOne(s, AlgLifeRaft2, nil, s.freshJobs(1), 1)
+		base, err := runOne(s, AlgLifeRaft2, jaws.PolicyLRUK, s.freshJobs(1), 1)
 		if err != nil {
 			baseErr = err
 			return
@@ -501,7 +443,7 @@ func Fig12(s Scale, ks []int) (*Fig12Result, error) {
 		wg.Add(1)
 		go func(i, k int) {
 			defer wg.Done()
-			rep, err := runOne(s, AlgJAWS2, nil, s.freshJobs(1), k)
+			rep, err := runOne(s, AlgJAWS2, jaws.PolicyLRUK, s.freshJobs(1), k)
 			if err != nil {
 				slots[i] = slot{err: err}
 				return
@@ -543,34 +485,22 @@ type Table1Result struct {
 }
 
 // Table1 compares LRU-K, SLRU, and URC under JAWS1 (as in §VI: cache
-// replacement studied without the job-aware variable), plus the LRU and
-// FIFO ablations.
+// replacement studied without the job-aware variable), plus the 2Q, LRU
+// and FIFO ablations.
 func Table1(s Scale, includeAblations bool) (*Table1Result, error) {
-	type entry struct {
-		name string
-		mk   func(capacity int) cache.Policy
-	}
-	entries := []entry{
-		{"LRU-K", func(int) cache.Policy { return cache.NewLRUK(2, 0) }},
-		{"SLRU", func(capacity int) cache.Policy { return cache.NewSLRU(capacity, 0.05) }},
-		{"URC", func(int) cache.Policy { return cache.NewURC() }},
-	}
+	policies := []jaws.CachePolicy{jaws.PolicyLRUK, jaws.PolicySLRU, jaws.PolicyURC}
 	if includeAblations {
-		entries = append(entries,
-			entry{"2Q", func(capacity int) cache.Policy { return cache.NewTwoQ(capacity) }},
-			entry{"LRU", func(int) cache.Policy { return cache.NewLRU() }},
-			entry{"FIFO", func(int) cache.Policy { return cache.NewFIFO() }},
-		)
+		policies = append(policies, jaws.PolicyTwoQ, jaws.PolicyLRU, jaws.PolicyFIFO)
 	}
 	r := &Table1Result{}
 	r.Table.Header = []string{"policy", "cache hit", "sec/qry", "overhead/qry"}
-	for _, en := range entries {
-		rep, err := runOne(s, AlgJAWS1, en.mk, s.freshJobs(1), s.BatchSize)
+	for _, p := range policies {
+		rep, err := RunPolicy(s, p)
 		if err != nil {
 			return nil, err
 		}
 		row := Table1Row{
-			Policy:    en.name,
+			Policy:    p.String(),
 			CacheHit:  rep.CacheStats.HitRatio(),
 			SecPerQry: rep.Elapsed.Seconds() / float64(rep.Completed),
 		}
@@ -578,7 +508,7 @@ func Table1(s Scale, includeAblations bool) (*Table1Result, error) {
 			row.OverheadQry = rep.CacheStats.PolicyTime / time.Duration(rep.Completed)
 		}
 		r.Rows = append(r.Rows, row)
-		r.Table.AddRow(en.name,
+		r.Table.AddRow(row.Policy,
 			fmt.Sprintf("%.0f%%", row.CacheHit*100),
 			fmt.Sprintf("%.3f", row.SecPerQry),
 			row.OverheadQry.String())

@@ -5,10 +5,12 @@
 //
 // The package bundles a complete simulated Turbulence database node —
 // Morton-indexed atom store over a simulated disk array, an externally
-// managed atom cache with pluggable replacement (LRU-K, SLRU, URC), query
-// pre-processing into per-atom sub-queries, and the NoShare / LifeRaft /
-// JAWS scheduler family with two-level batching, adaptive starvation
-// resistance, and job-aware gated execution.
+// managed atom cache with pluggable replacement (LRU-K, SLRU, URC, and the
+// 2Q, LRU and FIFO ablations), query pre-processing into per-atom
+// sub-queries, and the NoShare / LifeRaft / JAWS scheduler family with
+// two-level batching, adaptive starvation resistance, and job-aware gated
+// execution. Open, OpenSession and RunCluster are the one place a node is
+// assembled; the experiment harness and the commands build through them.
 //
 // Quick start:
 //
@@ -24,6 +26,7 @@ package jaws
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"jaws/internal/cache"
@@ -159,22 +162,29 @@ const (
 	SchedJAWS2
 )
 
-// String names the scheduler.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedNoShare:
-		return "NoShare"
-	case SchedLifeRaft1:
-		return "LifeRaft1"
-	case SchedLifeRaft2:
-		return "LifeRaft2"
-	case SchedJAWS1:
-		return "JAWS1"
-	case SchedJAWS2:
-		return "JAWS2"
-	}
-	return fmt.Sprintf("Scheduler(%d)", int(s))
+// schedulerNames is the one name table behind String, ParseScheduler and
+// SchedulerNames.
+var schedulerNames = []string{
+	SchedNoShare:   "NoShare",
+	SchedLifeRaft1: "LifeRaft1",
+	SchedLifeRaft2: "LifeRaft2",
+	SchedJAWS1:     "JAWS1",
+	SchedJAWS2:     "JAWS2",
 }
+
+// String names the scheduler as in the paper.
+func (s Scheduler) String() string { return nameOf("Scheduler", schedulerNames, int(s)) }
+
+// ParseScheduler selects a scheduler by name, ignoring case and '-'
+// ("jaws2", "JAWS2", "LifeRaft-1").
+func ParseScheduler(name string) (Scheduler, error) {
+	i, err := parseName("scheduler", schedulerNames, name)
+	return Scheduler(i), err
+}
+
+// SchedulerNames lists the scheduler names as command-line spellings:
+// lower case, comma separated.
+func SchedulerNames() string { return nameList(schedulerNames) }
 
 // CachePolicy selects the replacement algorithm (Table I).
 type CachePolicy int
@@ -196,29 +206,55 @@ const (
 	PolicyTwoQ
 )
 
-// String names the policy.
-func (p CachePolicy) String() string {
-	switch p {
-	case PolicyLRUK:
-		return "LRU-K"
-	case PolicySLRU:
-		return "SLRU"
-	case PolicyURC:
-		return "URC"
-	case PolicyLRU:
-		return "LRU"
-	case PolicyFIFO:
-		return "FIFO"
-	case PolicyTwoQ:
-		return "2Q"
-	}
-	return fmt.Sprintf("CachePolicy(%d)", int(p))
+// policyNames is the one name table behind String, ParseCachePolicy and
+// CachePolicyNames.
+var policyNames = []string{
+	PolicyLRUK: "LRU-K",
+	PolicySLRU: "SLRU",
+	PolicyURC:  "URC",
+	PolicyLRU:  "LRU",
+	PolicyFIFO: "FIFO",
+	PolicyTwoQ: "2Q",
 }
+
+// String names the policy as in Table I.
+func (p CachePolicy) String() string { return nameOf("CachePolicy", policyNames, int(p)) }
+
+// ParseCachePolicy selects a cache policy by name, ignoring case and '-'
+// ("lruk", "lru-k", "LRU-K", "2q").
+func ParseCachePolicy(name string) (CachePolicy, error) {
+	i, err := parseName("cache policy", policyNames, name)
+	return CachePolicy(i), err
+}
+
+// CachePolicyNames lists the cache policy names as command-line
+// spellings: lower case, comma separated.
+func CachePolicyNames() string { return nameList(policyNames) }
+
+func nameOf(kind string, names []string, i int) string {
+	if i >= 0 && i < len(names) {
+		return names[i]
+	}
+	return fmt.Sprintf("%s(%d)", kind, i)
+}
+
+func parseName(kind string, names []string, name string) (int, error) {
+	fold := func(s string) string { return strings.ToLower(strings.ReplaceAll(s, "-", "")) }
+	for i, n := range names {
+		if fold(n) == fold(name) {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown %s %q", kind, name)
+}
+
+func nameList(names []string) string { return strings.ToLower(strings.Join(names, ", ")) }
 
 // Config assembles a single-node JAWS system. The zero value reproduces
 // the paper's evaluation setup at simulation scale: a 31-step store,
 // full JAWS scheduling with k = 15 and α₀ = 0.5, a 256-atom (≈2 GB
-// nominal) LRU-K cache, and runs of 32 queries.
+// nominal) LRU-K cache, the derived T_b / T_m cost model shared by
+// scheduler and engine, and runs of 32 queries.
 type Config struct {
 	// Space is the grid geometry; zero means 256³ voxels in 32³ atoms.
 	Space Space
@@ -240,7 +276,8 @@ type Config struct {
 	InitialAlpha float64
 	// AlphaSet forces InitialAlpha to be used verbatim (including 0).
 	AlphaSet bool
-	// Adaptive enables §V.A adaptation for JAWS schedulers; default on.
+	// AdaptiveOff disables the §V.A adaptation of the JAWS schedulers'
+	// age bias; by default it is on.
 	AdaptiveOff bool
 	// Policy picks the cache replacement algorithm; default PolicyLRUK.
 	Policy CachePolicy
@@ -249,7 +286,8 @@ type Config struct {
 	CacheAtoms int
 	// ProtectedFrac is SLRU's protected share; zero means 0.05.
 	ProtectedFrac float64
-	// Cost overrides the T_b / T_m model (zero: derived).
+	// Cost overrides the T_b / T_m model; a zero half is derived by
+	// engine.ResolveCost, and the scheduler and engine share the result.
 	Cost CostModel
 	// RunLength is r, queries per adaptation run; zero means 32.
 	RunLength int
@@ -298,16 +336,17 @@ type Config struct {
 	FaultSeed int64
 }
 
-// System is an assembled single-node JAWS instance.
-type System struct {
-	cfg      Config
-	tailSpec sched.PolicySpec
-	store    *store.Store
-	cache    *cache.Cache
+// node is a Config with its defaults applied and its scheduler and policy
+// settings validated. It is the one place a node is assembled: Open,
+// OpenSession and RunCluster all build their parts from it.
+type node struct {
+	Config
+	tail sched.PolicySpec
 }
 
-// Open validates the configuration and builds the store and cache.
-func Open(cfg Config) (*System, error) {
+// newNode applies the defaults the Config field comments promise and
+// validates the scheduler, cache policy and decoration settings.
+func newNode(cfg Config) (node, error) {
 	if cfg.Space.GridSide == 0 {
 		cfg.Space = Space{GridSide: 256, AtomSide: 32}
 	}
@@ -326,48 +365,103 @@ func Open(cfg Config) (*System, error) {
 	if !cfg.AlphaSet && cfg.InitialAlpha == 0 {
 		cfg.InitialAlpha = 0.5
 	}
-	var tailSpec sched.PolicySpec
+	cfg.Cost = engine.ResolveCost(cfg.Cost)
+	if cfg.Scheduler < 0 || int(cfg.Scheduler) >= len(schedulerNames) {
+		return node{}, fmt.Errorf("jaws: unknown scheduler %v", cfg.Scheduler)
+	}
+	if cfg.Policy < 0 || int(cfg.Policy) >= len(policyNames) {
+		return node{}, fmt.Errorf("jaws: unknown cache policy %v", cfg.Policy)
+	}
+	var tail sched.PolicySpec
 	if cfg.TailPolicy != "" {
 		spec, err := sched.ParsePolicySpec(cfg.TailPolicy)
 		if err != nil {
-			return nil, fmt.Errorf("jaws: %w", err)
+			return node{}, fmt.Errorf("jaws: %w", err)
 		}
 		if cfg.Scheduler != SchedJAWS1 && cfg.Scheduler != SchedJAWS2 {
-			return nil, fmt.Errorf("jaws: TailPolicy requires a JAWS scheduler, not %v", cfg.Scheduler)
+			return node{}, fmt.Errorf("jaws: TailPolicy requires a JAWS scheduler, not %v", cfg.Scheduler)
 		}
 		if cfg.QoSStretch > 0 {
-			return nil, fmt.Errorf("jaws: TailPolicy cannot be combined with QoSStretch (both decorate the JAWS scheduler)")
+			return node{}, fmt.Errorf("jaws: TailPolicy cannot be combined with QoSStretch (both decorate the JAWS scheduler)")
 		}
-		tailSpec = spec
+		tail = spec
 	}
-	st, err := store.Open(store.Config{
-		Space:       cfg.Space,
-		Steps:       cfg.Steps,
-		SampleSide:  cfg.SampleSide,
-		SampleGhost: cfg.SampleGhost,
-		Seed:        cfg.Seed,
+	return node{Config: cfg, tail: tail}, nil
+}
+
+func (n node) storeConfig() store.Config {
+	return store.Config{
+		Space:       n.Space,
+		Steps:       n.Steps,
+		SampleSide:  n.SampleSide,
+		SampleGhost: n.SampleGhost,
+		Seed:        n.Seed,
+	}
+}
+
+// newPolicy builds a fresh replacement policy.
+func (n node) newPolicy() cache.Policy {
+	switch n.Policy {
+	case PolicySLRU:
+		return cache.NewSLRU(n.CacheAtoms, n.ProtectedFrac)
+	case PolicyURC:
+		return cache.NewURC()
+	case PolicyLRU:
+		return cache.NewLRU()
+	case PolicyFIFO:
+		return cache.NewFIFO()
+	case PolicyTwoQ:
+		return cache.NewTwoQ(n.CacheAtoms)
+	}
+	return cache.NewLRUK(2, 0)
+}
+
+// newScheduler builds a fresh scheduler over a cache's residency test,
+// decorated with QoS or the tail policies when configured.
+func (n node) newScheduler(resident func(store.AtomID) bool) sched.Scheduler {
+	switch n.Scheduler {
+	case SchedNoShare:
+		return sched.NewNoShare()
+	case SchedLifeRaft1:
+		return sched.NewLifeRaft(n.Cost, 1, resident)
+	case SchedLifeRaft2:
+		return sched.NewLifeRaft(n.Cost, 0, resident)
+	}
+	inner := sched.NewJAWS(sched.JAWSConfig{
+		Cost:         n.Cost,
+		BatchSize:    n.BatchSize,
+		InitialAlpha: n.InitialAlpha,
+		Adaptive:     !n.AdaptiveOff,
+		Resident:     resident,
 	})
+	if n.QoSStretch > 0 {
+		return sched.NewQoS(inner, n.Cost, n.QoSStretch, n.QoSHorizon)
+	}
+	if !n.tail.Empty() {
+		return n.tail.Wrap(inner)
+	}
+	return inner
+}
+
+// System is an assembled single-node JAWS instance.
+type System struct {
+	n     node
+	store *store.Store
+	cache *cache.Cache
+}
+
+// Open applies the defaults, validates the configuration and builds the
+// store and cache.
+func Open(cfg Config) (*System, error) {
+	n, err := newNode(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var pol cache.Policy
-	switch cfg.Policy {
-	case PolicyLRUK:
-		pol = cache.NewLRUK(2, 0)
-	case PolicySLRU:
-		pol = cache.NewSLRU(cfg.CacheAtoms, cfg.ProtectedFrac)
-	case PolicyURC:
-		pol = cache.NewURC()
-	case PolicyLRU:
-		pol = cache.NewLRU()
-	case PolicyFIFO:
-		pol = cache.NewFIFO()
-	case PolicyTwoQ:
-		pol = cache.NewTwoQ(cfg.CacheAtoms)
-	default:
-		return nil, fmt.Errorf("jaws: unknown cache policy %v", cfg.Policy)
+	st, err := store.Open(n.storeConfig())
+	if err != nil {
+		return nil, err
 	}
-	return &System{cfg: cfg, tailSpec: tailSpec, store: st, cache: cache.New(cfg.CacheAtoms, pol)}, nil
+	return &System{n: n, store: st, cache: cache.New(n.CacheAtoms, n.newPolicy())}, nil
 }
 
 // Store exposes the underlying atom store (examples use its Field for
@@ -377,59 +471,35 @@ func (s *System) Store() *store.Store { return s.store }
 // CacheStats returns the cache counters accumulated so far.
 func (s *System) CacheStats() cache.Stats { return s.cache.Stats() }
 
-// newScheduler builds the configured scheduler against the system cache.
-func (s *System) newScheduler() sched.Scheduler {
-	resident := s.cache.Contains
-	switch s.cfg.Scheduler {
-	case SchedNoShare:
-		return sched.NewNoShare()
-	case SchedLifeRaft1:
-		return sched.NewLifeRaft(s.cfg.Cost, 1, resident)
-	case SchedLifeRaft2:
-		return sched.NewLifeRaft(s.cfg.Cost, 0, resident)
-	default: // SchedJAWS1, SchedJAWS2
-		inner := sched.NewJAWS(sched.JAWSConfig{
-			Cost:         s.cfg.Cost,
-			BatchSize:    s.cfg.BatchSize,
-			InitialAlpha: s.cfg.InitialAlpha,
-			Adaptive:     !s.cfg.AdaptiveOff,
-			Resident:     resident,
-		})
-		if s.cfg.QoSStretch > 0 {
-			return sched.NewQoS(inner, s.cfg.Cost, s.cfg.QoSStretch, s.cfg.QoSHorizon)
-		}
-		if !s.tailSpec.Empty() {
-			return s.tailSpec.Wrap(inner)
-		}
-		return inner
+// engineConfig wires a fresh scheduler, the system's store and cache, and
+// the node settings into an engine configuration.
+func (s *System) engineConfig() engine.Config {
+	n := s.n
+	return engine.Config{
+		Store:       s.store,
+		Cache:       s.cache,
+		Sched:       n.newScheduler(s.cache.Contains),
+		Cost:        n.Cost,
+		JobAware:    n.Scheduler == SchedJAWS2,
+		RunLength:   n.RunLength,
+		Compute:     n.Compute,
+		KeepResults: n.KeepResults,
+		Parallelism: n.Parallelism,
+		// NoShare means no I/O sharing across queries (§VI): flush the
+		// cache after each query, as the paper's baseline does.
+		FlushPerDecision: n.Scheduler == SchedNoShare,
+		Prefetch:         n.Prefetch,
+		DeclareUpfront:   n.DeclareJobs,
+		Obs:              n.Obs,
+		EngineID:         n.EngineID,
+		Fault:            fault.New(n.Fault, n.FaultSeed, 0),
 	}
 }
 
-// Run executes the jobs to completion on a fresh engine (the cache stays
-// warm across calls) and returns the report.
+// Run executes the jobs to completion on a fresh engine and scheduler
+// (the cache stays warm across calls) and returns the report.
 func (s *System) Run(jobs []*Job) (*Report, error) {
-	sc := s.newScheduler()
-	// The scheduler's cost model must match the engine's; rebuild the
-	// scheduler when Cost was defaulted by the engine.
-	e, err := engine.New(engine.Config{
-		Store:       s.store,
-		Cache:       s.cache,
-		Sched:       sc,
-		Cost:        s.cfg.Cost,
-		JobAware:    s.cfg.Scheduler == SchedJAWS2,
-		RunLength:   s.cfg.RunLength,
-		Compute:     s.cfg.Compute,
-		KeepResults: s.cfg.KeepResults,
-		Parallelism: s.cfg.Parallelism,
-		// NoShare means no I/O sharing across queries (§VI): flush the
-		// cache after each query, as the paper's baseline does.
-		FlushPerDecision: s.cfg.Scheduler == SchedNoShare,
-		Prefetch:         s.cfg.Prefetch,
-		DeclareUpfront:   s.cfg.DeclareJobs,
-		Obs:              s.cfg.Obs,
-		EngineID:         s.cfg.EngineID,
-		Fault:            fault.New(s.cfg.Fault, s.cfg.FaultSeed, 0),
-	})
+	e, err := engine.New(s.engineConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -452,21 +522,7 @@ func OpenSession(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return engine.NewSession(engine.Config{
-		Store:            sys.store,
-		Cache:            sys.cache,
-		Sched:            sys.newScheduler(),
-		Cost:             sys.cfg.Cost,
-		JobAware:         sys.cfg.Scheduler == SchedJAWS2,
-		RunLength:        sys.cfg.RunLength,
-		Compute:          sys.cfg.Compute,
-		Parallelism:      sys.cfg.Parallelism,
-		Prefetch:         sys.cfg.Prefetch,
-		FlushPerDecision: sys.cfg.Scheduler == SchedNoShare,
-		Obs:              sys.cfg.Obs,
-		EngineID:         sys.cfg.EngineID,
-		Fault:            fault.New(sys.cfg.Fault, sys.cfg.FaultSeed, 0),
-	})
+	return engine.NewSession(sys.engineConfig())
 }
 
 // GenerateWorkload builds a synthetic trace with the statistical shape of
@@ -492,7 +548,9 @@ func JobIdentificationAccuracy(records []TraceRecord, assignment map[QueryID]int
 type ClusterConfig struct {
 	// Nodes is the node count; atoms per step must divide evenly.
 	Nodes int
-	// Node is the per-node system configuration.
+	// Node is the per-node system configuration, defaulted and validated
+	// as by Open. RunCluster rejects the settings a cluster node cannot
+	// carry out (see RunCluster).
 	Node Config
 	// Observe gives every node a metrics registry and merges them into
 	// ClusterReport.Metrics.
@@ -509,74 +567,46 @@ type ClusterConfig struct {
 }
 
 // RunCluster partitions the jobs spatially across Nodes independent JAWS
-// instances, executes them concurrently, and aggregates the reports.
+// instances, executes them concurrently, and aggregates the reports. The
+// nodes run the batch engine only, so it rejects a Node that sets
+// Compute, KeepResults, Parallelism, Prefetch, DeclareJobs, Obs (use
+// Observe) or EngineID, or that picks SchedNoShare (cluster nodes do not
+// flush the cache per decision, so it would not be the paper's NoShare).
 func RunCluster(cfg ClusterConfig, jobs []*Job) (*ClusterReport, error) {
-	node := cfg.Node
-	if node.Space.GridSide == 0 {
-		node.Space = Space{GridSide: 256, AtomSide: 32}
+	n, err := newNode(cfg.Node)
+	if err != nil {
+		return nil, err
 	}
-	if node.Steps == 0 {
-		node.Steps = 31
-	}
-	if node.CacheAtoms == 0 {
-		node.CacheAtoms = 256
-	}
-	if node.BatchSize == 0 {
-		node.BatchSize = 15
-	}
-	if !node.AlphaSet && node.InitialAlpha == 0 {
-		node.InitialAlpha = 0.5
+	for _, f := range []struct {
+		set  bool
+		name string
+	}{
+		{n.Scheduler == SchedNoShare, "Scheduler SchedNoShare"},
+		{n.Compute, "Compute"},
+		{n.KeepResults, "KeepResults"},
+		{n.Parallelism != 0, "Parallelism"},
+		{n.Prefetch, "Prefetch"},
+		{n.DeclareJobs, "DeclareJobs"},
+		{n.Obs != nil, "Obs (set ClusterConfig.Observe)"},
+		{n.EngineID != 0, "EngineID"},
+	} {
+		if f.set {
+			return nil, fmt.Errorf("jaws: cluster nodes do not support Node.%s", f.name)
+		}
 	}
 	cl, err := cluster.New(cluster.Config{
-		Nodes: cfg.Nodes,
-		Store: store.Config{
-			Space:      node.Space,
-			Steps:      node.Steps,
-			SampleSide: node.SampleSide,
-			Seed:       node.Seed,
-		},
-		CacheAtoms: node.CacheAtoms,
-		NewPolicy: func() cache.Policy {
-			switch node.Policy {
-			case PolicySLRU:
-				return cache.NewSLRU(node.CacheAtoms, 0.05)
-			case PolicyURC:
-				return cache.NewURC()
-			case PolicyLRU:
-				return cache.NewLRU()
-			case PolicyFIFO:
-				return cache.NewFIFO()
-			case PolicyTwoQ:
-				return cache.NewTwoQ(node.CacheAtoms)
-			default:
-				return cache.NewLRUK(2, 0)
-			}
-		},
-		NewSched: func(c *cache.Cache) sched.Scheduler {
-			switch node.Scheduler {
-			case SchedNoShare:
-				return sched.NewNoShare()
-			case SchedLifeRaft1:
-				return sched.NewLifeRaft(node.Cost, 1, c.Contains)
-			case SchedLifeRaft2:
-				return sched.NewLifeRaft(node.Cost, 0, c.Contains)
-			default:
-				return sched.NewJAWS(sched.JAWSConfig{
-					Cost:         node.Cost,
-					BatchSize:    node.BatchSize,
-					InitialAlpha: node.InitialAlpha,
-					Adaptive:     !node.AdaptiveOff,
-					Resident:     c.Contains,
-				})
-			}
-		},
-		Cost:      node.Cost,
-		JobAware:  node.Scheduler == SchedJAWS2,
-		RunLength: node.RunLength,
-		Observe:   cfg.Observe,
-		Replicas:  cfg.Replicas,
-		FaultSpec: cfg.Fault,
-		FaultSeed: cfg.FaultSeed,
+		Nodes:      cfg.Nodes,
+		Store:      n.storeConfig(),
+		CacheAtoms: n.CacheAtoms,
+		NewPolicy:  n.newPolicy,
+		NewSched:   func(c *cache.Cache) sched.Scheduler { return n.newScheduler(c.Contains) },
+		Cost:       n.Cost,
+		JobAware:   n.Scheduler == SchedJAWS2,
+		RunLength:  n.RunLength,
+		Observe:    cfg.Observe,
+		Replicas:   cfg.Replicas,
+		FaultSpec:  cfg.Fault,
+		FaultSeed:  cfg.FaultSeed,
 	})
 	if err != nil {
 		return nil, err
