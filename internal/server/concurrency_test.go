@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,12 +16,17 @@ import (
 // slowBackend throttles Submit so a burst of clients reliably overwhelms
 // a small queue: the worker pool is pinned inside Submit long enough for
 // the admission queue to fill and shedding to kick in.
+// When submits is set, it counts the calls that have entered Submit.
 type slowBackend struct {
 	Backend
-	delay time.Duration
+	delay   time.Duration
+	submits *atomic.Int64
 }
 
 func (s slowBackend) Submit(jobs ...*jaws.Job) error {
+	if s.submits != nil {
+		s.submits.Add(1)
+	}
 	time.Sleep(s.delay)
 	return s.Backend.Submit(jobs...)
 }
@@ -144,8 +150,9 @@ func TestConcurrentClientsShedExactlyOnce(t *testing.T) {
 // (no request dropped after accept), and only new work is refused.
 func TestGracefulDrainServesAccepted(t *testing.T) {
 	sess := openTestSession(t)
+	var submits atomic.Int64
 	srv, err := New(Config{
-		Backends:   []Backend{slowBackend{Backend: sess, delay: 30 * time.Millisecond}},
+		Backends:   []Backend{slowBackend{Backend: sess, delay: 30 * time.Millisecond, submits: &submits}},
 		QueueBound: 8,
 		Workers:    2,
 		Steps:      4,
@@ -170,8 +177,13 @@ func TestGracefulDrainServesAccepted(t *testing.T) {
 			codes <- resp.StatusCode
 		}()
 	}
-	waitFor(t, "all requests in flight", func() bool {
-		return srv.Stats().InFlight == accepted
+	// A request is accepted once it is queued or a worker has submitted
+	// it; in flight alone is not enough, since a request still decoding
+	// when Shutdown starts is rightly refused. Reading submits before the
+	// queue depth can only undercount a task moving from one to the other.
+	waitFor(t, "all requests accepted", func() bool {
+		n := submits.Load()
+		return n+int64(srv.Stats().QueueDepth) == accepted
 	})
 
 	reports := srv.Shutdown()
